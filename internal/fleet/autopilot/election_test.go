@@ -1,6 +1,7 @@
 package autopilot
 
 import (
+	"bytes"
 	"testing"
 	"time"
 
@@ -234,5 +235,29 @@ func TestElectionResign(t *testing.T) {
 	}
 	if ok, term := b.Leading(); !ok || term != 2 {
 		t.Fatalf("b leading=%v term=%d after resignation", ok, term)
+	}
+}
+
+// TestLeaseGolden pins the BBLS byte layout.
+func TestLeaseGolden(t *testing.T) {
+	l := Lease{Holder: "c1", Term: 7, Epoch: 12, Expires: 0x0102030405060708}
+	want := []byte{
+		'B', 'B', 'L', 'S',
+		1, 0, // version
+		2, 0, 'c', '1', // holder
+		7, 0, 0, 0, 0, 0, 0, 0, // term
+		12, 0, 0, 0, 0, 0, 0, 0, // epoch
+		8, 7, 6, 5, 4, 3, 2, 1, // expiry, UnixNano
+		10, 158, 6, 170, // CRC-32 of everything above
+	}
+	got, err := encodeLease(l)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("BBLS golden mismatch:\n got %v\nwant %v", got, want)
+	}
+	if back, err := DecodeLease(want); err != nil || back != l {
+		t.Fatalf("DecodeLease(golden) = %+v, %v; want %+v", back, err, l)
 	}
 }
