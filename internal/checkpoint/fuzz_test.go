@@ -8,7 +8,7 @@ import (
 
 // FuzzCheckpointDecode throws arbitrary bytes at the hardened decoder.
 // Invariants: never panic, reject with an error rather than allocating
-// past the byte budget (enforced structurally by need()-before-alloc,
+// past the byte budget (enforced structurally by Need()-before-alloc,
 // and exercised here with a tight Limits), and every accepted container
 // re-encodes to the identical bytes (the format is canonical).
 func FuzzCheckpointDecode(f *testing.F) {

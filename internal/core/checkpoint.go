@@ -1,6 +1,7 @@
 package core
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"hash"
@@ -257,14 +258,8 @@ func optionsFingerprint(w, h int, opts Options) uint64 {
 }
 
 func fingerprintImage(fp hash.Hash64, img *imagex.Image) {
-	buf := make([]byte, 16, 16+3*len(img.Pix))
-	for i, v := range []int{img.W, img.H} {
-		for b := 0; b < 8; b++ {
-			buf[8*i+b] = byte(uint64(v) >> (8 * b))
-		}
-	}
-	for _, p := range img.Pix {
-		buf = append(buf, p.R, p.G, p.B)
-	}
-	fp.Write(buf)
+	buf := make([]byte, 0, 16+3*len(img.Pix))
+	buf = binary.LittleEndian.AppendUint64(buf, uint64(img.W))
+	buf = binary.LittleEndian.AppendUint64(buf, uint64(img.H))
+	fp.Write(img.AppendRGB(buf))
 }

@@ -349,10 +349,10 @@ func TestStreamFeedNFaults(t *testing.T) {
 	}
 	fs := []Frame{
 		{Img: res.Blended.Frames[0], Oracle: sils[0]},
-		{Img: nil, Oracle: sils[1]},                       // recoverable: nil frame
-		{Img: imagex.New(10, 10), Oracle: sils[2]},        // recoverable: geometry
-		{Img: res.Blended.Frames[3], Oracle: nil},         // recoverable: nil oracle
-		{Img: res.Blended.Frames[4], Oracle: sils[4]},     // clean
+		{Img: nil, Oracle: sils[1]},                   // recoverable: nil frame
+		{Img: imagex.New(10, 10), Oracle: sils[2]},    // recoverable: geometry
+		{Img: res.Blended.Frames[3], Oracle: nil},     // recoverable: nil oracle
+		{Img: res.Blended.Frames[4], Oracle: sils[4]}, // clean
 	}
 	acc, rej, err := s.FeedN(fs)
 	if err != nil {

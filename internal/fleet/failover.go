@@ -5,8 +5,10 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"slices"
 	"sort"
 
+	"github.com/bgbuster/bgbuster/internal/binx"
 	"github.com/bgbuster/bgbuster/internal/session"
 )
 
@@ -53,11 +55,6 @@ type fleetMeta struct {
 	Specs   []OpenSpec
 }
 
-func metaAppendStr(b []byte, s string) []byte {
-	b = binary.LittleEndian.AppendUint16(b, uint16(len(s)))
-	return append(b, s...)
-}
-
 // encodeMeta serialises the blob: magic, u16 version, u64 epoch,
 // u32 vnodes, u16 member count + per-member (length-prefixed addr,
 // u16 weight), u32 spec count + per-spec (id, u16 W, u16 H, u8 flags,
@@ -70,97 +67,35 @@ func encodeMeta(m fleetMeta) ([]byte, error) {
 	if len(m.Specs) > metaMaxSpecs {
 		return nil, fmt.Errorf("fleet: %d specs exceed the meta budget %d", len(m.Specs), metaMaxSpecs)
 	}
+	le := binary.LittleEndian
+	var a binx.Appender
 	b := append([]byte(nil), metaMagic[:]...)
-	b = binary.LittleEndian.AppendUint16(b, metaVersion)
-	b = binary.LittleEndian.AppendUint64(b, m.Epoch)
-	b = binary.LittleEndian.AppendUint32(b, uint32(m.Vnodes))
-	b = binary.LittleEndian.AppendUint16(b, uint16(len(m.Members)))
-	for _, a := range m.Members {
-		if len(a) > metaMaxStrBytes {
-			return nil, fmt.Errorf("fleet: member address %d bytes long", len(a))
+	b = le.AppendUint16(b, metaVersion)
+	b = le.AppendUint64(b, m.Epoch)
+	b = le.AppendUint32(b, uint32(m.Vnodes))
+	b = a.Len16(b, len(m.Members))
+	for _, addr := range m.Members {
+		if len(addr) > metaMaxStrBytes {
+			return nil, fmt.Errorf("fleet: member address %d bytes long", len(addr))
 		}
-		b = metaAppendStr(b, a)
-		b = binary.LittleEndian.AppendUint16(b, uint16(clampWeight(m.Weights[a])))
+		b = a.Str(b, addr)
+		b = le.AppendUint16(b, uint16(clampWeight(m.Weights[addr])))
 	}
-	b = binary.LittleEndian.AppendUint32(b, uint32(len(m.Specs)))
+	b = le.AppendUint32(b, uint32(len(m.Specs)))
 	for _, s := range m.Specs {
 		if len(s.ID) > metaMaxStrBytes {
 			return nil, fmt.Errorf("fleet: session id %d bytes long", len(s.ID))
 		}
-		b = metaAppendStr(b, s.ID)
-		b = binary.LittleEndian.AppendUint16(b, uint16(s.W))
-		b = binary.LittleEndian.AppendUint16(b, uint16(s.H))
-		var flags uint8
-		if s.UnknownVB {
-			flags = 1
-		}
-		b = append(b, flags)
-		b = binary.LittleEndian.AppendUint64(b, uint64(s.Seed))
+		b = a.Str(b, s.ID)
+		b = a.Len16(b, s.W)
+		b = a.Len16(b, s.H)
+		b = append(b, b2u8(s.UnknownVB))
+		b = le.AppendUint64(b, uint64(s.Seed))
 	}
-	return binary.LittleEndian.AppendUint32(b, crc32.ChecksumIEEE(b)), nil
-}
-
-// metaReader is a tiny bounds-checked cursor (the wire reader is
-// message-shaped; the meta blob is store-shaped).
-type metaReader struct {
-	b   []byte
-	off int
-}
-
-func (r *metaReader) take(n int) ([]byte, error) {
-	if n < 0 || r.off+n > len(r.b) {
-		return nil, fmt.Errorf("fleet: truncated meta blob at offset %d: %w", r.off, ErrBadMessage)
+	if err := a.Err(); err != nil {
+		return nil, fmt.Errorf("fleet: encode meta: %w", err)
 	}
-	out := r.b[r.off : r.off+n]
-	r.off += n
-	return out, nil
-}
-
-func (r *metaReader) u8() (uint8, error) {
-	b, err := r.take(1)
-	if err != nil {
-		return 0, err
-	}
-	return b[0], nil
-}
-
-func (r *metaReader) u16() (uint16, error) {
-	b, err := r.take(2)
-	if err != nil {
-		return 0, err
-	}
-	return binary.LittleEndian.Uint16(b), nil
-}
-
-func (r *metaReader) u32() (uint32, error) {
-	b, err := r.take(4)
-	if err != nil {
-		return 0, err
-	}
-	return binary.LittleEndian.Uint32(b), nil
-}
-
-func (r *metaReader) u64() (uint64, error) {
-	b, err := r.take(8)
-	if err != nil {
-		return 0, err
-	}
-	return binary.LittleEndian.Uint64(b), nil
-}
-
-func (r *metaReader) str() (string, error) {
-	n, err := r.u16()
-	if err != nil {
-		return "", err
-	}
-	if int(n) > metaMaxStrBytes {
-		return "", fmt.Errorf("fleet: meta string of %d bytes exceeds budget: %w", n, ErrBadMessage)
-	}
-	b, err := r.take(int(n))
-	if err != nil {
-		return "", err
-	}
-	return string(b), nil
+	return le.AppendUint32(b, crc32.ChecksumIEEE(b)), nil
 }
 
 // decodeMeta parses and CRC-verifies a BBFM blob.
@@ -176,96 +111,98 @@ func decodeMeta(b []byte) (fleetMeta, error) {
 	if got := crc32.ChecksumIEEE(body); got != crc {
 		return m, fmt.Errorf("fleet: meta CRC mismatch (stored %08x, computed %08x): %w", crc, got, ErrBadMessage)
 	}
-	r := &metaReader{b: body, off: 4}
-	ver, err := r.u16()
+	r := binx.NewReader(body[4:], "fleet: meta", ErrBadMessage)
+	ver, err := r.U16()
 	if err != nil {
 		return m, err
 	}
 	if ver != 1 && ver != metaVersion {
 		return m, fmt.Errorf("fleet: meta version %d: %w", ver, ErrVersion)
 	}
-	if m.Epoch, err = r.u64(); err != nil {
+	if m.Epoch, err = r.U64(); err != nil {
 		return m, err
 	}
-	vnodes, err := r.u32()
+	vnodes, err := r.U32()
 	if err != nil {
 		return m, err
 	}
 	m.Vnodes = int(vnodes)
-	nm, err := r.u16()
+	nm, err := r.U16()
 	if err != nil {
 		return m, err
 	}
 	if int(nm) > metaMaxMembers {
-		return m, fmt.Errorf("fleet: %d meta members exceed budget: %w", nm, ErrBadMessage)
+		return m, r.Errorf("%d members exceed budget", nm)
 	}
 	for i := 0; i < int(nm); i++ {
-		a, err := r.str()
+		addr, err := r.Str(metaMaxStrBytes)
 		if err != nil {
 			return m, err
 		}
-		m.Members = append(m.Members, a)
+		// A repeated address would collapse in Weights, and no
+		// coordinator accepts one (NewCoordinator rejects it).
+		if slices.Contains(m.Members, addr) {
+			return m, r.Errorf("duplicate member %q", addr)
+		}
+		m.Members = append(m.Members, addr)
 		if ver >= 2 {
-			w, err := r.u16()
+			w, err := r.U16()
 			if err != nil {
 				return m, err
 			}
 			if w == 0 || int(w) > maxWeight {
-				return m, fmt.Errorf("fleet: meta weight %d out of range: %w", w, ErrBadMessage)
+				return m, r.Errorf("weight %d out of range", w)
 			}
 			if w != 1 {
 				if m.Weights == nil {
 					m.Weights = map[string]int{}
 				}
-				m.Weights[a] = int(w)
+				m.Weights[addr] = int(w)
 			}
 		}
 	}
-	ns, err := r.u32()
+	ns, err := r.U32()
 	if err != nil {
 		return m, err
 	}
 	if int64(ns) > metaMaxSpecs {
-		return m, fmt.Errorf("fleet: %d meta specs exceed budget: %w", ns, ErrBadMessage)
+		return m, r.Errorf("%d specs exceed budget", ns)
 	}
 	// Each spec costs >= 15 bytes; verify the advertised count against
 	// the bytes actually present before reserving anything.
-	if remaining := len(r.b) - r.off; int64(remaining) < 15*int64(ns) {
-		return m, fmt.Errorf("fleet: %d meta specs advertised, %d bytes present: %w", ns, remaining, ErrBadMessage)
+	if err := r.Need(15 * int64(ns)); err != nil {
+		return m, err
 	}
 	for i := uint32(0); i < ns; i++ {
 		var s OpenSpec
-		if s.ID, err = r.str(); err != nil {
+		if s.ID, err = r.Str(metaMaxStrBytes); err != nil {
 			return m, err
 		}
-		w, err := r.u16()
+		w, err := r.U16()
 		if err != nil {
 			return m, err
 		}
-		h, err := r.u16()
+		h, err := r.U16()
 		if err != nil {
 			return m, err
 		}
 		s.W, s.H = int(w), int(h)
-		flags, err := r.u8()
+		flags, err := r.U8()
 		if err != nil {
 			return m, err
 		}
 		if flags&^0x01 != 0 {
-			return m, fmt.Errorf("fleet: nonzero meta spec flag padding: %w", ErrBadMessage)
+			return m, r.Errorf("nonzero spec flag padding")
 		}
 		s.UnknownVB = flags&1 != 0
-		seed, err := r.u64()
+		seed, err := r.U64()
 		if err != nil {
 			return m, err
 		}
 		s.Seed = int64(seed)
 		m.Specs = append(m.Specs, s)
 	}
-	if r.off != len(r.b) {
-		return m, fmt.Errorf("fleet: %d trailing meta bytes: %w", len(r.b)-r.off, ErrBadMessage)
-	}
-	return m, nil
+	return m, r.Done()
 }
 
 // VerifyMeta parses and CRC-verifies a BBFM meta blob without acting

@@ -3,6 +3,8 @@ package fleet
 import (
 	"bytes"
 	"encoding/binary"
+	"hash/crc32"
+	"slices"
 	"testing"
 )
 
@@ -104,4 +106,46 @@ func TestWireCorpusRoundTrip(t *testing.T) {
 			t.Fatalf("type 0x%02x: corpus entry not canonical", byte(m.Type))
 		}
 	}
+}
+
+// FuzzMetaDecode throws crafted bytes at the BBFM meta decoder — the
+// blob a standby trusts when it takes over the fleet. Invariants: never
+// panic, and every accepted v2 blob re-encodes to its exact input (v1
+// blobs legitimately re-encode as v2).
+func FuzzMetaDecode(f *testing.F) {
+	near := fleetMeta{Epoch: 1, Vnodes: 8, Members: []string{"s:1", "s:2"}, Weights: map[string]int{"s:2": 4}}
+	for _, m := range []fleetMeta{goldenMeta(), near} {
+		blob, err := encodeMeta(m)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(blob)
+		f.Add(blob[:len(blob)-4]) // unsealed: the harness seals it
+		f.Add(blob[:len(blob)/2])
+	}
+	v1 := []byte{'B', 'B', 'F', 'M', 1, 0, 5, 0, 0, 0, 0, 0, 0, 0, 16, 0, 0, 0,
+		1, 0, 3, 0, 'a', ':', '1', 1, 0, 0, 0, 1, 0, 'c', 8, 0, 6, 0, 0, 3, 0, 0, 0, 0, 0, 0, 0}
+	f.Add(binary.LittleEndian.AppendUint32(v1, crc32.ChecksumIEEE(v1)))
+	bomb := []byte{'B', 'B', 'F', 'M', 2, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0,
+		0, 0, 0xFF, 0xFF, 0xFF, 0xFF} // spec-count bomb
+	f.Add(binary.LittleEndian.AppendUint32(bomb, crc32.ChecksumIEEE(bomb)))
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		// Also try the input sealed with its own CRC, so mutations reach
+		// the parser instead of stopping at the CRC gate.
+		sealed := binary.LittleEndian.AppendUint32(slices.Clip(data), crc32.ChecksumIEEE(data))
+		for _, b := range [][]byte{data, sealed} {
+			m, err := decodeMeta(b)
+			if err != nil || binary.LittleEndian.Uint16(b[4:]) != metaVersion {
+				continue
+			}
+			re, err := encodeMeta(m)
+			if err != nil {
+				t.Fatalf("accepted meta blob failed to re-encode: %v", err)
+			}
+			if !bytes.Equal(re, b) {
+				t.Fatalf("non-canonical accept:\n in: %x\nout: %x", b, re)
+			}
+		}
+	})
 }

@@ -108,9 +108,7 @@ func demuxGolden(t *testing.T, v *vidstream.Video) goldenExpect {
 	for _, ls := range lanes {
 		fp := fnv.New64a()
 		for _, f := range ls.Video.Frames {
-			for _, p := range f.Pix {
-				fp.Write([]byte{p.R, p.G, p.B})
-			}
+			fp.Write(f.AppendRGB(nil))
 		}
 		exp.LaneHashes[fmt.Sprintf("lane-%d", ls.Lane)] = fmt.Sprintf("%d:%016x", ls.Video.Len(), fp.Sum64())
 	}

@@ -548,7 +548,11 @@ func (m *Mask) BBox() (x0, y0, x1, y1 int, ok bool) {
 
 // WordBytes returns the size of the mask's packed-word encoding
 // (AppendWords): 8 bytes per storage word, rows word-aligned.
-func (m *Mask) WordBytes() int { return 8 * m.H * wordsPerRow(m.W) }
+func (m *Mask) WordBytes() int { return MaskWordBytes(m.W, m.H) }
+
+// MaskWordBytes returns the WordBytes of a w×h mask without allocating
+// one, so a decoder can check the encoding is present before it does.
+func MaskWordBytes(w, h int) int { return 8 * h * wordsPerRow(w) }
 
 // AppendWords appends the packed bitset words to buf in row-major
 // order, each word little-endian, and returns the extended slice. The
