@@ -206,6 +206,8 @@ func TestEncodeRejects(t *testing.T) {
 		{"identified-without-image", func(st *State) { st.VBImage = nil }},
 		{"mode-out-of-range", func(st *State) { st.Mode = 256 }},
 		{"long-name", func(st *State) { st.VBName = strings.Repeat("x", 1<<16+1) }},
+		{"u16-overflow-name", func(st *State) { st.VBName = strings.Repeat("x", 1<<16) }},
+		{"u16-overflow-score-name", func(st *State) { st.Scores[1].Name = strings.Repeat("x", 1<<16) }},
 		{"bad-hist-len", func(st *State) { st.Hist = make([]int, 7) }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {

@@ -135,10 +135,16 @@ func isTimeout(err error) bool {
 }
 
 // do performs one request/response round trip under the configured
-// deadlines. A transport failure closes the connection and is returned
-// as-is (NOT a *RemoteError) — the caller's signal that the peer, not
-// the request, failed; a deadline expiry comes back as *TimeoutError.
+// deadlines. A request that cannot be encoded fails with an ErrEncode
+// error before the connection is touched. A transport failure closes
+// the connection and is returned as-is (NOT a *RemoteError) — the
+// caller's signal that the peer, not the request, failed; a deadline
+// expiry comes back as *TimeoutError.
 func (c *Client) do(req *Message) (*Message, error) {
+	buf, err := Encode(req)
+	if err != nil {
+		return nil, err
+	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.conn == nil {
@@ -148,7 +154,7 @@ func (c *Client) do(req *Message) (*Message, error) {
 	if c.t.Write > 0 {
 		c.conn.SetWriteDeadline(time.Now().Add(c.t.Write))
 	}
-	if err := WriteMessage(c.conn, req); err != nil {
+	if _, err := c.conn.Write(buf); err != nil {
 		c.conn.Close()
 		c.conn = nil
 		if isTimeout(err) {

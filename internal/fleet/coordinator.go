@@ -305,7 +305,9 @@ func idempotent(t MsgType) bool {
 // expiry instead feeds the health state machine — idempotent requests
 // get capped-jitter retries, non-idempotent ones surface the
 // *TimeoutError (unknown whether applied; the caller decides) — and
-// only DownAfter consecutive timeouts escalate to shard loss. The loop
+// only DownAfter consecutive timeouts escalate to shard loss. A request
+// that cannot be encoded (ErrEncode) fails at once and leaves the shard
+// up: no peer ever saw it. The loop
 // is bounded — each iteration either succeeds, fails at the request
 // level, spends a retry, or permanently removes one shard.
 func (c *Coordinator) doRouted(id string, req *Message, want MsgType) (*Message, error) {
@@ -327,6 +329,9 @@ func (c *Coordinator) doRouted(id string, req *Message, want MsgType) (*Message,
 		c.mu.Unlock()
 		if err == nil {
 			resp, rerr := cl.do(req)
+			if errors.Is(rerr, ErrEncode) {
+				return nil, rerr // the request, not the shard, is at fault
+			}
 			if rerr == nil {
 				c.markUp(addr)
 				if resp.Type != want {

@@ -4,7 +4,9 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"math"
 	"net"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -630,6 +632,76 @@ func TestCoordinatorWireFacade(t *testing.T) {
 	}
 	if err := cl.CloseSession(spec.ID); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestUnencodableRequestKeepsShardsUp sends requests whose u16 fields
+// overflow (a 70000-wide open, a 70000-wide frame, a 65536-byte id)
+// through a client and a two-shard coordinator. Each must fail as an
+// ErrEncode request error: the client keeps its connection, and the
+// coordinator marks no shard down and moves no session.
+func TestUnencodableRequestKeepsShardsUp(t *testing.T) {
+	sA, sB := startShard(t), startShard(t)
+	long := strings.Repeat("x", math.MaxUint16+1)
+	frames, sils := leakFrames(1)
+	good := core.Frame{Img: frames[0], Oracle: sils[0]}
+	wide := core.Frame{Img: imagex.New(70000, 1)}
+
+	cl, err := Dial(sA.addr, Limits{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	if err := cl.Open(OpenSpec{ID: "wide", W: 70000, H: 2}); !errors.Is(err, ErrEncode) {
+		t.Fatalf("client open W=70000: %v, want ErrEncode", err)
+	}
+	if err := cl.Ping(); err != nil {
+		t.Fatalf("client connection dropped after an encode refusal: %v", err)
+	}
+
+	coord, err := NewCoordinator(CoordinatorConfig{Shards: []string{sA.addr, sB.addr}, Logf: t.Logf})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer coord.Close()
+	ids, byShard := pickIDs(coord.ring, []string{sA.addr, sB.addr}, 1)
+	if len(byShard[sA.addr]) != 1 || len(byShard[sB.addr]) != 1 {
+		t.Fatalf("id selection did not cover both shards: %v", byShard)
+	}
+	routes := map[string]string{}
+	for _, id := range ids {
+		if err := coord.Open(OpenSpec{ID: id, W: fw, H: fh, Seed: 1}); err != nil {
+			t.Fatal(err)
+		}
+		routes[id] = coord.RouteOf(id)
+	}
+
+	for name, op := range map[string]func() error{
+		"open-width": func() error { return coord.Open(OpenSpec{ID: "wide", W: 70000, H: 2}) },
+		"open-id":    func() error { return coord.Open(OpenSpec{ID: long, W: fw, H: fh}) },
+		"feed-width": func() error { return coord.Feed(ids[0], wide) },
+		"feed-id":    func() error { return coord.Feed(long, good) },
+	} {
+		if err := op(); !errors.Is(err, ErrEncode) {
+			t.Errorf("%s: %v, want ErrEncode", name, err)
+		}
+	}
+	if down := coord.Down(); len(down) != 0 {
+		t.Fatalf("encode refusals marked shards down: %v", down)
+	}
+	if r, o, f := coord.Recoveries(); r+o+f != 0 {
+		t.Fatalf("encode refusals triggered recovery: resumed=%d reopened=%d failed=%d", r, o, f)
+	}
+	if got := coord.RoutedIDs(); len(got) != len(ids) {
+		t.Fatalf("routed ids %v, want only %v", got, ids)
+	}
+	for _, id := range ids {
+		if got := coord.RouteOf(id); got != routes[id] {
+			t.Errorf("session %s moved from %s to %s", id, routes[id], got)
+		}
+		if err := coord.Feed(id, good); err != nil {
+			t.Errorf("feed %s after the refusals: %v", id, err)
+		}
 	}
 }
 
