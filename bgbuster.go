@@ -441,9 +441,10 @@ func NewFleetCoordinator(cfg FleetCoordinatorConfig) (*FleetCoordinator, error) 
 	return fleet.NewCoordinator(cfg)
 }
 
-// FleetTakeOver rebuilds a coordinator from the replicated stores'
+// FleetTakeOver rebuilds a coordinator from the replicated store's
 // fleet meta record and fences the predecessor out at a higher epoch —
-// the standby side of coordinator failover (DESIGN.md §17).
+// what the winner of the coordinator lease runs, at the lease epoch
+// (DESIGN.md §17).
 func FleetTakeOver(cfg FleetCoordinatorConfig) (*FleetCoordinator, error) {
 	return fleet.TakeOver(cfg)
 }

@@ -1,6 +1,8 @@
 package main
 
 import (
+	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"math/rand"
@@ -8,6 +10,7 @@ import (
 	"os"
 	"os/signal"
 	"strings"
+	"sync"
 	"syscall"
 	"time"
 
@@ -119,41 +122,37 @@ func runShard(args []string) error {
 			fmt.Printf("shard: drained %s out of the fleet\n", announced)
 		}
 	}
-	return serveUntilSignalHook(ln, func() error { return sh.Serve(ln) }, onSignal)
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	defer stop()
+	return serveUntil(ln, func() error { return sh.Serve(ln) }, ctx.Done(), nil, onSignal)
 }
 
 // runServe boots the fleet coordinator: consistent-hash routing of
 // session ids over worker shards, quorum checkpoint replication,
-// health-probed routing, shard-loss recovery onto the survivors — or,
-// with -standby, a warm spare that watches the primary and takes over
-// (fencing it) when it dies.
+// health-probed routing and shard-loss recovery onto the survivors.
+// With -elect it is a candidate for the coordinator lease instead, and
+// coordinates only once it wins (see candidate).
 func runServe(args []string) error {
 	fs := flag.NewFlagSet("serve", flag.ContinueOnError)
 	listen := fs.String("listen", "127.0.0.1:7600", "address to serve the fleet wire protocol on")
-	shards := fs.String("shards", "", "comma-separated worker shard addresses (required unless -standby)")
+	shards := fs.String("shards", "", "comma-separated worker shard addresses (the bootstrap membership; a takeover adopts the stored one)")
 	vnodes := fs.Int("vnodes", 0, "virtual nodes per shard on the hash ring (0: default 64)")
 	ckptDir := fs.String("checkpoint-dir", "", "replicated checkpoint directories, comma-separated for multiple replicas (empty: in-memory)")
 	replicas := fs.Int("replicas", 0, "replica factor N: stores written per checkpoint (0: all listed)")
 	writeQuorum := fs.Int("write-quorum", 0, "write quorum W: successful replica writes required (0: majority of N)")
 	replicate := fs.Duration("replicate-every", 15*time.Second, "checkpoint replication interval (0: on demand only)")
 	probeEvery := fs.Duration("probe-every", 5*time.Second, "shard health probe interval (0: probes off)")
-	standby := fs.Bool("standby", false, "start as a warm standby: watch -watch and take over when it dies")
-	watch := fs.String("watch", "", "primary coordinator address a standby watches")
-	watchEvery := fs.Duration("watch-every", 2*time.Second, "standby probe interval against the primary")
 	autopilotOn := fs.Bool("autopilot", false, "run the hands-off control plane: load-aware rebalancing, auto re-admission, checkpoint scrubbing")
 	rebalThresh := fs.Float64("rebalance-threshold", 0, "imbalance score that triggers rebalancing (0: default 0.25)")
 	planEvery := fs.Duration("plan-every", 0, "rebalancing pass cadence (0: default 15s)")
 	readmitAfter := fs.Int("readmit-after", 0, "consecutive healthy probes before a down shard is re-admitted (0: default 3)")
 	quarantine := fs.Duration("quarantine", 0, "probation window between re-admission and full promotion (0: default 60s)")
 	scrubEvery := fs.Duration("scrub-every", 0, "checkpoint scrub cadence (0: default 60s)")
-	elect := fs.Bool("elect", false, "contend for the coordinator lease in the checkpoint store; policy runs only while leading")
+	elect := fs.Bool("elect", false, "contend for the coordinator lease in the checkpoint store; coordinate (taking the fleet over) only after winning it")
 	candidateID := fs.String("candidate-id", "", "this candidate's name in the lease record (default: host:listen)")
 	leaseTTL := fs.Duration("lease-ttl", 0, "coordinator lease duration (0: default 15s)")
 	if err := fs.Parse(args); err != nil {
 		return err
-	}
-	if *elect && !*autopilotOn {
-		return fmt.Errorf("serve: -elect requires -autopilot (the elector gates its policy loops)")
 	}
 	addrs := strings.Split(*shards, ",")
 	clean := addrs[:0]
@@ -162,7 +161,7 @@ func runServe(args []string) error {
 			clean = append(clean, a)
 		}
 	}
-	if len(clean) == 0 && !*standby {
+	if len(clean) == 0 {
 		return fmt.Errorf("serve: -shards is required (comma-separated addresses)")
 	}
 
@@ -187,25 +186,40 @@ func runServe(args []string) error {
 	case len(stores) == 1 && *replicas == 0 && *writeQuorum == 0:
 		ccfg.Store = stores[0]
 	case len(stores) > 0:
-		ccfg.Stores = stores
-		ccfg.ReplicaFactor = *replicas
-		ccfg.WriteQuorum = *writeQuorum
+		qs, err := session.NewQuorumStore(stores, *replicas, *writeQuorum)
+		if err != nil {
+			return err
+		}
+		ccfg.Store = qs
+	}
+	if *elect && ccfg.Store == nil {
+		return fmt.Errorf("serve: -elect requires -checkpoint-dir (the stores holding the lease and the fleet meta)")
 	}
 
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	defer stop()
+
 	var coord *fleet.Coordinator
+	var cand *candidate
 	var err error
-	if *standby {
-		if *watch == "" {
-			return fmt.Errorf("serve: -standby requires -watch (the primary to take over from)")
+	if *elect {
+		id := *candidateID
+		if id == "" {
+			host, _ := os.Hostname()
+			id = host + "/" + *listen
 		}
-		if len(stores) == 0 {
-			return fmt.Errorf("serve: -standby requires -checkpoint-dir (the stores holding the fleet meta)")
+		cand, err = newCandidate(autopilot.ElectorConfig{Store: ccfg.Store, ID: id, TTL: *leaseTTL, Logf: ccfg.Logf})
+		if err != nil {
+			return err
 		}
-		coord, err = standbyTakeOver(ccfg, *watch, *watchEvery)
-	} else {
-		coord, err = fleet.NewCoordinator(ccfg)
-	}
-	if err != nil {
+		cand.run(time.Now().UnixNano())
+		defer cand.resign()
+		fmt.Printf("serve: %s waiting for the coordinator lease\n", id)
+		if coord, err = cand.coordinate(ccfg, ctx.Done()); err != nil || coord == nil {
+			return err
+		}
+		fmt.Printf("serve: %s holds the coordinator lease (epoch %d)\n", id, coord.Epoch())
+	} else if coord, err = fleet.NewCoordinator(ccfg); err != nil {
 		return err
 	}
 	defer coord.Close()
@@ -245,32 +259,8 @@ func runServe(args []string) error {
 			Seed:         time.Now().UnixNano(),
 			Logf:         ccfg.Logf,
 		}
-		if *elect {
-			id := *candidateID
-			if id == "" {
-				host, _ := os.Hostname()
-				id = host + "/" + *listen
-			}
-			elector, eerr := autopilot.NewElector(autopilot.ElectorConfig{
-				Store: coord.Store(),
-				ID:    id,
-				TTL:   *leaseTTL,
-				OnElected: func(term, epoch uint64) {
-					fmt.Printf("serve: %s holds the coordinator lease (term %d, epoch %d)\n", id, term, epoch)
-					if epoch != coord.Epoch() {
-						fmt.Fprintf(os.Stderr, "serve: lease epoch %d != coordinator epoch %d; restart with the lease epoch to fence predecessors\n", epoch, coord.Epoch())
-					}
-				},
-				OnDeposed: func() {
-					coord.Depose()
-					fmt.Fprintf(os.Stderr, "serve: lost the coordinator lease; self-fenced (mutations now refuse with ErrDeposed)\n")
-				},
-				Logf: ccfg.Logf,
-			})
-			if eerr != nil {
-				return eerr
-			}
-			apCfg.Elector = elector
+		if cand != nil {
+			apCfg.Elector = cand.elector
 		}
 		ap, aerr := autopilot.New(apCfg)
 		if aerr != nil {
@@ -286,7 +276,115 @@ func runServe(args []string) error {
 		return err
 	}
 	fmt.Printf("serve: coordinating %d shards on %s\n", len(coord.Members()), ln.Addr())
-	return serveUntilSignal(ln, func() error { return fleet.Serve(ln, coord, fleet.Limits{}, ccfg.Logf) })
+	serve := func() error { return fleet.Serve(ln, coord, fleet.Limits{}, ccfg.Logf) }
+	if cand == nil {
+		return serveUntil(ln, serve, ctx.Done(), nil, func() {})
+	}
+	return serveUntil(ln, serve, ctx.Done(), cand.lost, func() {
+		if err := cand.resign(); err != nil {
+			fmt.Fprintf(os.Stderr, "serve: resign lease: %v\n", err)
+		}
+	})
+}
+
+// candidate is one `serve -elect` process, and the fleet's one
+// coordinator failover path (DESIGN.md §17–18): an elector contends
+// for the coordinator lease in the shared checkpoint store, and only
+// the winner builds a coordinator — by TakeOver at the lease epoch,
+// which fences its predecessor at every shard. A lone candidate is a
+// warm spare; a loser never touches the fleet meta.
+type candidate struct {
+	elector  *autopilot.Elector
+	elected  chan uint64   // the won lease epoch
+	lost     chan struct{} // closed once a held lease is lost
+	lostOnce sync.Once
+
+	mu    sync.Mutex
+	coord *fleet.Coordinator // nil until coordinate builds it
+
+	stop     chan struct{} // stops the elector loop
+	stopOnce sync.Once
+	loop     sync.WaitGroup
+}
+
+// newCandidate builds the elector; ecfg's callbacks are the
+// candidate's own.
+func newCandidate(ecfg autopilot.ElectorConfig) (*candidate, error) {
+	c := &candidate{elected: make(chan uint64, 1), lost: make(chan struct{}), stop: make(chan struct{})}
+	ecfg.OnElected = func(_, epoch uint64) {
+		// This runs on the elector loop: hand the epoch over and
+		// return, so a long takeover never misses a renewal.
+		select {
+		case c.elected <- epoch:
+		default:
+		}
+	}
+	ecfg.OnDeposed = c.depose
+	var err error
+	if c.elector, err = autopilot.NewElector(ecfg); err != nil {
+		return nil, err
+	}
+	return c, nil
+}
+
+// depose self-fences the coordinator, if one is built yet — mutations
+// refuse with ErrDeposed from here on — and closes lost.
+func (c *candidate) depose() {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.coord != nil {
+		c.coord.Depose()
+	}
+	c.lostOnce.Do(func() { close(c.lost) })
+}
+
+// run starts the elector's one loop.
+func (c *candidate) run(seed int64) {
+	c.loop.Add(1)
+	go func() {
+		defer c.loop.Done()
+		c.elector.Run(c.stop, seed)
+	}()
+}
+
+// coordinate blocks until the candidate wins the lease, then takes the
+// fleet over at the lease epoch (TakeOver raises it above the stored
+// meta's when needed). A store with no fleet meta (ErrNoMeta) is the
+// bootstrap case: a fresh coordinator over ccfg.Shards at the lease
+// epoch. If quit closes before the win it returns nil, nil; a lease
+// lost before the takeover begins returns errLeaseLost.
+func (c *candidate) coordinate(ccfg fleet.CoordinatorConfig, quit <-chan struct{}) (*fleet.Coordinator, error) {
+	select {
+	case <-quit:
+		return nil, nil
+	case ccfg.Epoch = <-c.elected:
+	}
+	if ok, _ := c.elector.Leading(); !ok {
+		return nil, errLeaseLost // deposed before the takeover began: fence no one
+	}
+	coord, err := fleet.TakeOver(ccfg)
+	if errors.Is(err, fleet.ErrNoMeta) {
+		coord, err = fleet.NewCoordinator(ccfg)
+	}
+	if err != nil {
+		return nil, err
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.coord = coord
+	if ok, _ := c.elector.Leading(); !ok {
+		coord.Depose() // deposed mid-takeover, before depose could see coord
+	}
+	return coord, nil
+}
+
+// resign stops the elector loop, then releases a held lease by zeroing
+// its expiry so the next candidate need not wait out the TTL. The loop
+// stops first so it cannot re-claim the lease it just released.
+func (c *candidate) resign() error {
+	c.stopOnce.Do(func() { close(c.stop) })
+	c.loop.Wait()
+	return c.elector.Resign()
 }
 
 // runStats dials a running coordinator and prints its aggregate fleet
@@ -366,65 +464,27 @@ func runStats(args []string) error {
 	return nil
 }
 
-// standbyTakeOver is the warm-spare loop: probe the primary at watch
-// until missMax consecutive probes fail, then rebuild a coordinator
-// from the replicated stores and fence the (possibly still twitching)
-// primary out. SIGINT/SIGTERM while still watching exits cleanly.
-func standbyTakeOver(ccfg fleet.CoordinatorConfig, watch string, every time.Duration) (*fleet.Coordinator, error) {
-	const missMax = 3
-	if every <= 0 {
-		every = 2 * time.Second
-	}
-	sigc := make(chan os.Signal, 1)
-	signal.Notify(sigc, os.Interrupt, syscall.SIGTERM)
-	defer signal.Stop(sigc)
-	fmt.Printf("serve: standby watching %s (takeover after %d missed probes)\n", watch, missMax)
-	misses := 0
-	t := time.NewTicker(every)
-	defer t.Stop()
-	for misses < missMax {
-		select {
-		case <-sigc:
-			return nil, fmt.Errorf("serve: standby interrupted before takeover")
-		case <-t.C:
-		}
-		cl, err := fleet.Dial(watch, fleet.Limits{})
-		if err == nil {
-			err = cl.Ping()
-			cl.Close()
-		}
-		if err == nil {
-			misses = 0
-			continue
-		}
-		misses++
-		fmt.Fprintf(os.Stderr, "serve: standby probe %d/%d failed: %v\n", misses, missMax, err)
-	}
-	fmt.Printf("serve: primary %s is gone; taking over\n", watch)
-	return fleet.TakeOver(ccfg)
-}
+// errLeaseLost ends a candidate whose lease another candidate took.
+var errLeaseLost = errors.New("serve: lost the coordinator lease (restart to stand again)")
 
-// serveUntilSignal runs serve until SIGINT/SIGTERM closes the
-// listener; the resulting accept error then reads as a clean exit.
-func serveUntilSignal(ln net.Listener, serve func() error) error {
-	return serveUntilSignalHook(ln, serve, func() {})
-}
-
-// serveUntilSignalHook is serveUntilSignal with a pre-shutdown hook:
-// on signal, onSignal runs (e.g. draining this shard out of the fleet)
-// before the listener closes.
-func serveUntilSignalHook(ln net.Listener, serve func() error, onSignal func()) error {
-	sigc := make(chan os.Signal, 1)
-	signal.Notify(sigc, os.Interrupt, syscall.SIGTERM)
-	defer signal.Stop(sigc)
+// serveUntil runs serve until quit or lost closes, then closes the
+// listener. On quit, onSignal runs first (draining this shard out of
+// the fleet, resigning the coordinator lease) and the resulting accept
+// error reads as a clean exit. A closed lost means another candidate
+// took the lease: the coordinator is fenced and can only refuse.
+func serveUntil(ln net.Listener, serve func() error, quit, lost <-chan struct{}, onSignal func()) error {
 	done := make(chan error, 1)
 	go func() { done <- serve() }()
 	select {
-	case <-sigc:
+	case <-quit:
 		onSignal()
 		ln.Close()
 		<-done
 		return nil
+	case <-lost:
+		ln.Close()
+		<-done
+		return errLeaseLost
 	case err := <-done:
 		return err
 	}

@@ -22,8 +22,11 @@ func TestFleetSubcommandFlagValidation(t *testing.T) {
 	if err := run([]string{"serve", "-shards", "127.0.0.1:1", "-checkpoint-dir", "/dev/null/x"}); err == nil {
 		t.Fatal("serve with unusable checkpoint dir succeeded")
 	}
-	if err := run([]string{"serve", "-shards", "127.0.0.1:1", "-elect"}); err == nil || !strings.Contains(err.Error(), "-elect requires -autopilot") {
-		t.Fatalf("serve -elect without -autopilot: %v", err)
+	if err := run([]string{"serve", "-shards", "127.0.0.1:1", "-elect"}); err == nil || !strings.Contains(err.Error(), "-elect requires -checkpoint-dir") {
+		t.Fatalf("serve -elect without -checkpoint-dir: %v", err)
+	}
+	if err := run([]string{"serve", "-shards", "127.0.0.1:1", "-standby"}); err == nil || !strings.Contains(err.Error(), "not defined: -standby") {
+		t.Fatalf("serve -standby: %v, want an unknown-flag error", err)
 	}
 	if err := run([]string{"shard", "-weight", "4"}); err == nil || !strings.Contains(err.Error(), "-weight requires -join") {
 		t.Fatalf("shard -weight without -join: %v", err)

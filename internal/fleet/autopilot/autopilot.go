@@ -47,9 +47,9 @@ type Config struct {
 	Clock faultinject.Clock
 	// Seed drives loop jitter (deterministic by default).
 	Seed int64
-	// Elector, when set, ties the autopilot to lease-based election:
-	// policy passes run only while the elector leads, and losing the
-	// lease self-fences the coordinator.
+	// Elector, when set, gates the policy passes: they run only while
+	// the elector holds the coordinator lease. The autopilot never
+	// ticks it — the elector's owner runs its one loop (Elector.Run).
 	Elector *Elector
 	// Logf receives policy diagnostics (nil: silent).
 	Logf func(format string, args ...any)
@@ -360,10 +360,9 @@ func (a *Autopilot) Status() fleet.AutopilotInfo {
 	return info
 }
 
-// Start launches the background loops: planning, recovery probing,
-// scrubbing, and (when configured) election. Each loop runs its policy
-// step on a ±25%-jittered cadence — fleets of autopilots must not
-// synchronize their passes.
+// Start launches the background loops: planning, recovery probing and
+// scrubbing. Each loop runs its policy step on a ±25%-jittered cadence
+// — fleets of autopilots must not synchronize their passes.
 func (a *Autopilot) Start() {
 	loops := []struct {
 		every time.Duration
@@ -389,28 +388,26 @@ func (a *Autopilot) Start() {
 		a.wg.Add(1)
 		go func(every time.Duration, step func(), seed int64) {
 			defer a.wg.Done()
-			rng := rand.New(rand.NewSource(seed))
-			for {
-				q := every / 4
-				d := every
-				if q > 0 {
-					d = every - q + time.Duration(rng.Int63n(int64(2*q)+1))
-				}
-				select {
-				case <-a.stop:
-					return
-				case <-a.clock.After(d):
-					step()
-				}
-			}
+			jittered(a.clock, a.stop, every, seed, step)
 		}(l.every, l.step, a.cfg.Seed+int64(i))
 	}
-	if a.cfg.Elector != nil {
-		a.wg.Add(1)
-		go func() {
-			defer a.wg.Done()
-			a.cfg.Elector.Run(a.stop, a.cfg.Seed+17)
-		}()
+}
+
+// jittered runs step every `every` ±25% (uniform, seeded rng) on clock
+// until stop closes.
+func jittered(clock faultinject.Clock, stop <-chan struct{}, every time.Duration, seed int64, step func()) {
+	rng := rand.New(rand.NewSource(seed))
+	for {
+		d := every
+		if q := every / 4; q > 0 {
+			d = every - q + time.Duration(rng.Int63n(int64(2*q)+1))
+		}
+		select {
+		case <-stop:
+			return
+		case <-clock.After(d):
+			step()
+		}
 	}
 }
 

@@ -127,6 +127,16 @@ func fastHealth() fleet.HealthConfig {
 		RetryBackoff: time.Millisecond, RetryBackoffCap: 2 * time.Millisecond}
 }
 
+// quorumStore replicates checkpoints W-of-N over stores.
+func quorumStore(t *testing.T, stores []session.CheckpointStore, n, w int) *session.QuorumStore {
+	t.Helper()
+	qs, err := session.NewQuorumStore(stores, n, w)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return qs
+}
+
 func testTimeouts() fleet.Timeouts {
 	return fleet.Timeouts{Dial: 5 * time.Second, Read: 5 * time.Second, Write: 5 * time.Second}
 }
@@ -294,9 +304,8 @@ func TestAutopilotSoak(t *testing.T) {
 	s0, s1, s2, s3 := bootShard(t, ""), bootShard(t, ""), bootShard(t, ""), bootShard(t, "")
 	stores := []session.CheckpointStore{session.NewMemStore(), session.NewMemStore(), session.NewMemStore()}
 	coord, err := fleet.NewCoordinator(fleet.CoordinatorConfig{
-		Shards:        []string{s0.addr, s1.addr, s2.addr, s3.addr},
-		Stores:        stores,
-		ReplicaFactor: 2, WriteQuorum: 2,
+		Shards:      []string{s0.addr, s1.addr, s2.addr, s3.addr},
+		Store:       quorumStore(t, stores, 2, 2),
 		Timeouts:    testTimeouts(),
 		Health:      fastHealth(),
 		LoadTimeout: time.Second,
@@ -501,7 +510,7 @@ func TestReadmitMigrationRace(t *testing.T) {
 	s0, s1 := bootShard(t, ""), bootShard(t, "")
 	coord, err := fleet.NewCoordinator(fleet.CoordinatorConfig{
 		Shards:   []string{s0.addr, s1.addr},
-		Stores:   []session.CheckpointStore{session.NewMemStore(), session.NewMemStore()},
+		Store:    quorumStore(t, []session.CheckpointStore{session.NewMemStore(), session.NewMemStore()}, 0, 0),
 		Timeouts: testTimeouts(),
 		Health:   fastHealth(),
 		Logf:     t.Logf,

@@ -10,7 +10,6 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
-	"math/rand"
 	"sync"
 	"time"
 
@@ -316,21 +315,9 @@ func (e *Elector) Resign() error {
 // is closed. Per-candidate jitter keeps contenders from writing their
 // claims in lockstep every cycle.
 func (e *Elector) Run(stop <-chan struct{}, seed int64) {
-	rng := rand.New(rand.NewSource(seed))
-	base := e.cfg.TTL / 2
-	for {
-		q := base / 4
-		d := base
-		if q > 0 {
-			d = base - q + time.Duration(rng.Int63n(int64(2*q)+1))
+	jittered(e.clock, stop, e.cfg.TTL/2, seed, func() {
+		if err := e.Tick(); err != nil {
+			e.logf("autopilot: election tick: %v", err)
 		}
-		select {
-		case <-stop:
-			return
-		case <-e.clock.After(d):
-			if err := e.Tick(); err != nil {
-				e.logf("autopilot: election tick: %v", err)
-			}
-		}
-	}
+	})
 }

@@ -26,21 +26,13 @@ type CoordinatorConfig struct {
 	// Limits bounds decode budgets for shard responses (zero: defaults).
 	Limits Limits
 	// Store replicates session checkpoints (Replicate pulls .bbck bytes
-	// from shards into it; shard-loss recovery resumes from it). Nil:
-	// in-memory store — recovery then survives shard loss but not
-	// coordinator loss.
+	// from shards into it; shard-loss recovery resumes from it) and
+	// holds the BBFM fleet meta a successor takes over from. Pass a
+	// session.NewQuorumStore for W-of-N replication: checkpoints then
+	// survive replica loss, and an elected successor can TakeOver from
+	// any surviving replica. Nil: in-memory store — recovery then
+	// survives shard loss but not coordinator loss.
 	Store session.CheckpointStore
-	// Stores, when non-empty, overrides Store with a quorum store
-	// writing each checkpoint to ReplicaFactor of them and requiring
-	// WriteQuorum successes (session.NewQuorumStore) — checkpoints then
-	// survive replica loss, and a standby coordinator can TakeOver from
-	// any surviving replica.
-	Stores []session.CheckpointStore
-	// ReplicaFactor is N, the stores written per checkpoint (<=0: all).
-	ReplicaFactor int
-	// WriteQuorum is W, the successes required per write (<=0: majority
-	// of ReplicaFactor).
-	WriteQuorum int
 	// Timeouts bounds per-op I/O on shard connections opened by the
 	// default dialer (zero fields: DefaultTimeouts).
 	Timeouts Timeouts
@@ -140,13 +132,6 @@ func NewCoordinator(cfg CoordinatorConfig) (*Coordinator, error) {
 		seen[a] = true
 	}
 	cfg.Limits = cfg.Limits.withDefaults()
-	if len(cfg.Stores) > 0 {
-		qs, err := session.NewQuorumStore(cfg.Stores, cfg.ReplicaFactor, cfg.WriteQuorum)
-		if err != nil {
-			return nil, err
-		}
-		cfg.Store = qs
-	}
 	if cfg.Store == nil {
 		cfg.Store = session.NewMemStore()
 	}

@@ -20,6 +20,16 @@ func fastHealth() HealthConfig {
 		RetryBackoff: time.Millisecond, RetryBackoffCap: 2 * time.Millisecond}
 }
 
+// quorumStore replicates checkpoints W-of-N over stores.
+func quorumStore(t *testing.T, stores []session.CheckpointStore, n, w int) *session.QuorumStore {
+	t.Helper()
+	qs, err := session.NewQuorumStore(stores, n, w)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return qs
+}
+
 // shortTimeouts keeps deadline-expiry tests fast.
 func shortTimeouts() Timeouts {
 	return Timeouts{Dial: 2 * time.Second, Read: 250 * time.Millisecond, Write: 2 * time.Second}
@@ -506,8 +516,8 @@ func TestFleetQuorumReplication(t *testing.T) {
 	stores := []session.CheckpointStore{session.NewMemStore(), deadStore{}, session.NewMemStore()}
 	coord, err := NewCoordinator(CoordinatorConfig{
 		Shards: []string{sA.addr, sB.addr},
-		Stores: stores, ReplicaFactor: 3, WriteQuorum: 2,
-		Logf: t.Logf,
+		Store:  quorumStore(t, stores, 3, 2),
+		Logf:   t.Logf,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -543,9 +553,9 @@ func TestFleetQuorumReplication(t *testing.T) {
 
 // --- coordinator failover --------------------------------------------
 
-// TestFleetCoordinatorFailover deposes a live coordinator: a standby
-// takes over from the replicated stores at a higher epoch, the shards
-// fence the old coordinator's mutations (CodeFenced -> ErrDeposed),
+// TestFleetCoordinatorFailover deposes a live coordinator: an elected
+// successor takes over from the replicated stores at a higher epoch,
+// the shards fence the old coordinator's mutations (CodeFenced -> ErrDeposed),
 // and the meeting finishes bit-identical under the successor — with
 // one shard killed between the two reigns to force takeover-time
 // recovery from a surviving replica.
@@ -558,8 +568,8 @@ func TestFleetCoordinatorFailover(t *testing.T) {
 	mk := func() (*Coordinator, error) {
 		return NewCoordinator(CoordinatorConfig{
 			Shards: []string{sA.addr, sB.addr},
-			Stores: stores, ReplicaFactor: 3, WriteQuorum: 2,
-			Logf: t.Logf,
+			Store:  quorumStore(t, stores, 3, 2),
+			Logf:   t.Logf,
 		})
 	}
 	c1, err := mk()
@@ -611,7 +621,7 @@ func TestFleetCoordinatorFailover(t *testing.T) {
 	sA.ln.Kill()
 
 	c2, err := TakeOver(CoordinatorConfig{
-		Stores: stores, ReplicaFactor: 3, WriteQuorum: 2, Logf: t.Logf,
+		Store: quorumStore(t, stores, 3, 2), Logf: t.Logf,
 	})
 	if err != nil {
 		t.Fatalf("takeover: %v", err)
@@ -700,9 +710,8 @@ func TestFleetElasticitySoak(t *testing.T) {
 	frames, sils := leakFrames(total)
 	s0, s1, s2, s3 := startShard(t), startShard(t), startShard(t), startShard(t)
 	coord, err := NewCoordinator(CoordinatorConfig{
-		Shards:        []string{s0.addr, s1.addr, s2.addr},
-		Stores:        []session.CheckpointStore{session.NewMemStore(), session.NewMemStore()},
-		ReplicaFactor: 2, WriteQuorum: 1,
+		Shards:   []string{s0.addr, s1.addr, s2.addr},
+		Store:    quorumStore(t, []session.CheckpointStore{session.NewMemStore(), session.NewMemStore()}, 2, 1),
 		Timeouts: Timeouts{Read: 5 * time.Second, Write: 5 * time.Second, Dial: 5 * time.Second},
 		Health:   fastHealth(),
 		Logf:     t.Logf,

@@ -9,15 +9,15 @@ import (
 	"sort"
 
 	"github.com/bgbuster/bgbuster/internal/binx"
-	"github.com/bgbuster/bgbuster/internal/session"
 )
 
 // Coordinator failover (DESIGN.md §17). The active coordinator
 // persists a small BBFM meta blob — fencing epoch, ring membership,
 // open-session specs, CRC-sealed — into the (ideally quorum-
 // replicated) checkpoint store alongside the .bbck checkpoints.
-// A standby calls TakeOver: it reads the blob from any surviving
-// replica, fences every shard at epoch+1 (deposing the old
+// The candidate that wins the coordinator lease calls TakeOver at the
+// lease epoch: it reads the blob from any surviving replica, fences
+// every shard at an epoch above the blob's (deposing the old
 // coordinator — shards reject its mutations with CodeFenced from that
 // moment), rebuilds routing from live shard stats, and recovers any
 // session found on no shard from its replicated checkpoint.
@@ -213,9 +213,9 @@ func VerifyMeta(b []byte) error {
 }
 
 // saveMeta persists the coordinator's current epoch, membership, and
-// session specs into the store — the breadcrumb a standby takes over
-// from. Best-effort: a failed write is logged, not fatal (the next
-// state change retries it).
+// session specs into the store — the breadcrumb an elected successor
+// takes over from. Best-effort: a failed write is logged, not fatal
+// (the next state change retries it).
 func (c *Coordinator) saveMeta() {
 	c.mu.Lock()
 	m := fleetMeta{Epoch: c.epoch, Vnodes: c.cfg.Vnodes, Members: append([]string(nil), c.members...)}
@@ -245,26 +245,16 @@ func (c *Coordinator) saveMeta() {
 	}
 }
 
-// resolveStore applies the same Store/Stores precedence NewCoordinator
-// does, without requiring a live coordinator.
-func resolveStore(cfg CoordinatorConfig) (session.CheckpointStore, error) {
-	if len(cfg.Stores) > 0 {
-		return session.NewQuorumStore(cfg.Stores, cfg.ReplicaFactor, cfg.WriteQuorum)
-	}
-	if cfg.Store == nil {
-		return nil, errors.New("fleet: takeover requires a checkpoint store (Store or Stores)")
-	}
-	return cfg.Store, nil
-}
-
-// TakeOver promotes a standby into the active coordinator. cfg.Shards
-// is ignored — membership comes from the persisted meta blob; the
-// store fields must point at (a surviving replica of) the deposed
-// coordinator's stores. The standby:
+// TakeOver makes the caller — the candidate that just won the
+// coordinator lease — the active coordinator. cfg.Shards is ignored:
+// membership comes from the persisted meta blob. cfg.Store must point
+// at (a surviving replica of) the deposed coordinator's store, and
+// cfg.Epoch is the lease epoch. The successor:
 //
 //  1. loads and verifies the BBFM blob,
-//  2. assumes epoch+1 and fences every member shard with it — from
-//     that instant the old coordinator's mutations die with CodeFenced,
+//  2. assumes cfg.Epoch, raised to the blob's epoch+1 when not already
+//     above it, and fences every member shard with it — from that
+//     instant the old coordinator's mutations die with CodeFenced,
 //  3. rebuilds routing from live shard stats (reality wins over any
 //     stale record of placement),
 //  4. re-resumes every session found on no shard from its replicated
@@ -273,11 +263,10 @@ func resolveStore(cfg CoordinatorConfig) (session.CheckpointStore, error) {
 // Unreachable shards are marked down exactly as if they had failed
 // under the old coordinator.
 func TakeOver(cfg CoordinatorConfig) (*Coordinator, error) {
-	store, err := resolveStore(cfg)
-	if err != nil {
-		return nil, err
+	if cfg.Store == nil {
+		return nil, errors.New("fleet: takeover requires a checkpoint store")
 	}
-	blob, err := store.Load(MetaKey)
+	blob, err := cfg.Store.Load(MetaKey)
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrNoMeta, err)
 	}

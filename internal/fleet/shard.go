@@ -149,12 +149,14 @@ type Shard struct {
 	mu       sync.Mutex
 	maxEpoch uint64
 
-	feedMicros atomic.Uint64 // EWMA of per-frame feed handling latency
+	feedMicros atomic.Uint64 // EWMA of per-frame feed admission latency
 }
 
 // observeFeed folds one feed request's handling time into the
-// per-frame latency EWMA (alpha 1/8) the load sampler reports — the
-// rebalancer's latency signal for hot shards.
+// per-frame latency EWMA (alpha 1/8) the load sampler reports. It
+// times only queue admission (Manager.Feed/FeedN enqueue and return),
+// not the worker's reconstruction, and feeds nothing but the FEED-us
+// column of `bgbuster stats` — the rebalancer never reads it.
 func (s *Shard) observeFeed(d time.Duration, frames int) {
 	if frames <= 0 {
 		return
