@@ -809,9 +809,7 @@ func (c *Coordinator) Handle(req *Message) *Message {
 		return wireStatus(c.Open(req.Spec))
 	case MsgResume:
 		return wireStatus(c.Resume(req.Spec, req.Ckpt))
-	case MsgFeed:
-		return wireStatus(c.Feed(req.Spec.ID, req.Frames[0]))
-	case MsgFeedBatch:
+	case MsgFeed, MsgFeedBatch:
 		return wireStatus(c.FeedN(req.Spec.ID, req.Frames))
 	case MsgSnapshot:
 		snap, err := c.Snapshot(req.Spec.ID)

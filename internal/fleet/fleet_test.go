@@ -743,3 +743,125 @@ func TestServeUnblocksIdleConnsOnClose(t *testing.T) {
 		t.Fatal("Serve still blocked on an idle connection 5s after listener close")
 	}
 }
+
+// panicSegmenter poisons every session opened with poisonSeed.
+type panicSegmenter struct{}
+
+func (panicSegmenter) Segment(*imagex.Image, *imagex.Mask) *imagex.Mask { panic("segmenter exploded") }
+
+const poisonSeed = -7
+
+// serveManager serves mgr as a shard on a loopback port until the test
+// ends; sessions opened with poisonSeed get panicSegmenter.
+func serveManager(t *testing.T, mgr *session.Manager) string {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	optionsFor := func(spec OpenSpec) core.Options {
+		o := fleetTestOptions(spec)
+		if spec.Seed == poisonSeed {
+			o.Segmenter = panicSegmenter{}
+		}
+		return o
+	}
+	sh, err := NewShard(ShardConfig{Manager: mgr, OptionsFor: optionsFor, Logf: t.Logf})
+	if err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan struct{})
+	go func() { defer close(done); sh.Serve(ln) }()
+	t.Cleanup(func() {
+		ln.Close()
+		mgr.Close()
+		select {
+		case <-done:
+		case <-time.After(5 * time.Second):
+			t.Error("shard Serve did not return after listener close")
+		}
+	})
+	return ln.Addr().String()
+}
+
+// TestShardBatchPanicKeepsStatsAnswering: a MsgFeedBatch that panics
+// its session worker on a shard without AutoRestart leaves the failed
+// session registered. MsgStats and MsgLoad read every registered
+// session's stream, so a batch path that left the stream lock held
+// would wedge both for good.
+func TestShardBatchPanicKeepsStatsAnswering(t *testing.T) {
+	mgr := session.NewManager(session.Config{})
+	addr := serveManager(t, mgr)
+	// The read deadline turns a wedged handler into an error.
+	cl, err := DialTimeouts(addr, Limits{}, Timeouts{Read: 2 * time.Second})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	spec := OpenSpec{ID: "poisoned", W: fw, H: fh, Seed: poisonSeed}
+	if err := cl.Open(spec); err != nil {
+		t.Fatal(err)
+	}
+	frames, sils := leakFrames(12) // past the identification window, so the segmenter runs
+	batch := make([]core.Frame, len(frames))
+	for i := range frames {
+		batch[i] = core.Frame{Img: frames[i], Oracle: sils[i]}
+	}
+	if err := cl.FeedN(spec.ID, batch); err != nil {
+		t.Fatal(err)
+	}
+	sess, ok := mgr.Get(spec.ID)
+	if !ok {
+		t.Fatal("session not registered")
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for sess.Health() != session.Failed {
+		if time.Now().After(deadline) {
+			t.Fatalf("worker never failed: health %v", sess.Health())
+		}
+		time.Sleep(time.Millisecond)
+	}
+
+	if _, err := cl.Stats(); err != nil {
+		t.Fatalf("Stats after a panicking batch: %v", err)
+	}
+	if _, err := cl.Load(); err != nil {
+		t.Fatalf("Load after a panicking batch: %v", err)
+	}
+}
+
+// TestShardLoadReportsWorkerTime: a MsgLoad row's FeedMicros is the
+// session workers' time per processed frame, so a 5ms quality gate
+// shows in it even though enqueueing each frame takes microseconds.
+func TestShardLoadReportsWorkerTime(t *testing.T) {
+	const gate = 5 * time.Millisecond
+	mgr := session.NewManager(session.Config{QualityGate: func(*imagex.Image, *imagex.Mask) error {
+		time.Sleep(gate)
+		return nil
+	}})
+	cl, err := Dial(serveManager(t, mgr), Limits{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	spec := OpenSpec{ID: "slow", W: fw, H: fh, Seed: 1}
+	if err := cl.Open(spec); err != nil {
+		t.Fatal(err)
+	}
+	frames, sils := leakFrames(4)
+	for i := range frames {
+		if err := cl.Feed(spec.ID, core.Frame{Img: frames[i], Oracle: sils[i]}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := cl.Drain(spec.ID); err != nil {
+		t.Fatal(err)
+	}
+	rows, err := cl.Load()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rows) != 1 || rows[0].FeedMicros < uint64(gate.Microseconds()) {
+		t.Fatalf("load rows %+v: want one row with FeedMicros ≥ %d", rows, gate.Microseconds())
+	}
+}

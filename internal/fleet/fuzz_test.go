@@ -109,9 +109,9 @@ func TestWireCorpusRoundTrip(t *testing.T) {
 }
 
 // FuzzMetaDecode throws crafted bytes at the BBFM meta decoder — the
-// blob a standby trusts when it takes over the fleet. Invariants: never
-// panic, and every accepted v2 blob re-encodes to its exact input (v1
-// blobs legitimately re-encode as v2).
+// blob an elected successor trusts when it takes over. Invariants:
+// never panic, and every accepted v2 blob re-encodes to its exact input
+// (v1 blobs legitimately re-encode as v2).
 func FuzzMetaDecode(f *testing.F) {
 	near := fleetMeta{Epoch: 1, Vnodes: 8, Members: []string{"s:1", "s:2"}, Weights: map[string]int{"s:2": 4}}
 	for _, m := range []fleetMeta{goldenMeta(), near} {

@@ -5,14 +5,14 @@ import (
 )
 
 // Load sampling (DESIGN.md §18). Per-shard load rows — session count,
-// summed stream footprint, feed-admission EWMA — are gathered here.
-// The rebalancer plans on the footprint and session count only; the
-// EWMA reaches just the FEED-us column of `bgbuster stats`. Sampling
-// is deliberately passive: it uses short dedicated connections bounded
-// by LoadTimeout, and a shard that fails to answer costs one
-// placeholder row (Err set), never a shard-loss recovery or a hung
-// stats command. Health transitions stay the prober's and the request
-// path's job.
+// summed stream footprint, mean worker time per processed frame — are
+// gathered here. The rebalancer plans on the footprint and session
+// count only; the worker time reaches just the FEED-us column of
+// `bgbuster stats`. Sampling is deliberately passive: it uses short
+// dedicated connections bounded by LoadTimeout, and a shard that fails
+// to answer costs one placeholder row (Err set), never a shard-loss
+// recovery or a hung stats command. Health transitions stay the
+// prober's and the request path's job.
 
 // Loads samples every member shard's load, one row per member in
 // address order. Down members and members that fail to answer within

@@ -7,7 +7,6 @@ import (
 	"io"
 	"net"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"github.com/bgbuster/bgbuster/internal/core"
@@ -148,38 +147,6 @@ type Shard struct {
 
 	mu       sync.Mutex
 	maxEpoch uint64
-
-	feedMicros atomic.Uint64 // EWMA of per-frame feed admission latency
-}
-
-// observeFeed folds one feed request's handling time into the
-// per-frame latency EWMA (alpha 1/8) the load sampler reports. It
-// times only queue admission (Manager.Feed/FeedN enqueue and return),
-// not the worker's reconstruction, and feeds nothing but the FEED-us
-// column of `bgbuster stats` — the rebalancer never reads it.
-func (s *Shard) observeFeed(d time.Duration, frames int) {
-	if frames <= 0 {
-		return
-	}
-	us := uint64(d.Microseconds()) / uint64(frames)
-	for {
-		old := s.feedMicros.Load()
-		next := us
-		if old != 0 {
-			next = old + (us-old)/8
-			if us < old {
-				next = old - (old-us)/8
-			}
-		}
-		if s.feedMicros.CompareAndSwap(old, next) {
-			return
-		}
-	}
-}
-
-// FeedLatency returns the current per-frame feed latency EWMA.
-func (s *Shard) FeedLatency() time.Duration {
-	return time.Duration(s.feedMicros.Load()) * time.Microsecond
 }
 
 // NewShard validates the config and returns a shard handler.
@@ -260,22 +227,22 @@ func (s *Shard) HandleConn(cs *ConnState, req *Message) *Message {
 	case MsgResume:
 		_, err := mgr.ResumeSession(req.Spec.ID, req.Ckpt, s.cfg.OptionsFor(req.Spec))
 		return status(err)
-	case MsgFeed:
-		f := req.Frames[0]
-		start := time.Now()
-		resp := status(mgr.Feed(req.Spec.ID, f.Img, f.Oracle))
-		s.observeFeed(time.Since(start), 1)
-		return resp
-	case MsgFeedBatch:
-		start := time.Now()
-		resp := status(mgr.FeedN(req.Spec.ID, req.Frames))
-		s.observeFeed(time.Since(start), len(req.Frames))
-		return resp
+	case MsgFeed, MsgFeedBatch:
+		// The decoder guarantees MsgFeed carries exactly one frame: a
+		// batch of one.
+		return status(mgr.FeedN(req.Spec.ID, req.Frames))
 	case MsgLoad:
 		st := mgr.Stats()
-		row := ShardLoad{Mem: st.MemUsed, FeedMicros: s.feedMicros.Load()}
+		row := ShardLoad{Mem: st.MemUsed}
+		var frames uint64
+		var work time.Duration
 		for _, sn := range st.Sessions {
 			row.Sess = append(row.Sess, SessionLoad{ID: sn.ID, Mem: sn.MemBytes, Frames: sn.StreamFrames})
+			frames += sn.FeedLatency.Count
+			work += sn.FeedLatency.Mean * time.Duration(sn.FeedLatency.Count)
+		}
+		if frames > 0 {
+			row.FeedMicros = uint64((work / time.Duration(frames)).Microseconds())
 		}
 		return &Message{Type: MsgLoadResp, Loads: []ShardLoad{row}}
 	case MsgSnapshot:

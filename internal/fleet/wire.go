@@ -207,7 +207,7 @@ type ShardLoad struct {
 	State      uint8  // HealthState at sample time
 	Weight     uint16 // capacity weight (vnode multiplier), 0 on shard-local rows
 	Mem        uint64 // summed session stream footprint in bytes
-	FeedMicros uint64 // EWMA of feed queue-admission latency, microseconds (display only)
+	FeedMicros uint64 // mean worker time per processed frame over open sessions, microseconds (display only)
 	Sess       []SessionLoad
 	Err        string // non-empty: sample failed; row is a placeholder
 }

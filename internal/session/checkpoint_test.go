@@ -671,3 +671,27 @@ func TestEvictThenRestoreRace(t *testing.T) {
 		}
 	}
 }
+
+// TestSessionFirstCheckpointWaitsInterval: the periodic checkpoint is
+// paced from the session start, so a session younger than
+// CheckpointInterval writes none, not one on its first frame.
+func TestSessionFirstCheckpointWaitsInterval(t *testing.T) {
+	m := NewManager(Config{Checkpoints: NewMemStore(), CheckpointInterval: time.Hour})
+	defer m.Close()
+	s, err := m.Open("x", testW, testH, testOpts())
+	if err != nil {
+		t.Fatal(err)
+	}
+	frames, sils := testFrames(3)
+	for i := range frames {
+		if err := s.Feed(frames[i], sils[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := s.Drain(5 * time.Second); err != nil {
+		t.Fatal(err)
+	}
+	if st := s.Stats(); st.Checkpoints != 0 {
+		t.Fatalf("checkpoints = %d within the first hour-long interval, want 0", st.Checkpoints)
+	}
+}

@@ -3,6 +3,7 @@ package session
 import (
 	"errors"
 	"testing"
+	"time"
 
 	"github.com/bgbuster/bgbuster/internal/core"
 )
@@ -130,5 +131,47 @@ func TestSessionFeedNQueuePolicies(t *testing.T) {
 	st := s.Stats()
 	if st.FramesDropped < 4 {
 		t.Fatalf("dropped=%d, want the whole rejected batch (≥4) counted", st.FramesDropped)
+	}
+}
+
+// TestFeedNPanicReleasesStreamLock: a FeedN batch whose segmenter
+// panics must not leave the stream lock held. Without AutoRestart the
+// failed session stays readable, so every observer that takes the lock
+// (Snapshot, Stats, CheckpointBytes) has to keep answering.
+func TestFeedNPanicReleasesStreamLock(t *testing.T) {
+	m := NewManager(Config{})
+	defer m.Close()
+	bad := testOpts()
+	bad.Segmenter = panicSegmenter{}
+	s, err := m.Open("poisoned", testW, testH, bad)
+	if err != nil {
+		t.Fatal(err)
+	}
+	frames, sils := testFrames(12) // past the identification window, so the segmenter runs
+	var fs []core.Frame
+	for i := range frames {
+		fs = append(fs, core.Frame{Img: frames[i], Oracle: sils[i]})
+	}
+	if err := s.FeedN(fs); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Finalize(); !errors.Is(err, ErrFailed) {
+		t.Fatalf("Finalize = %v, want ErrFailed", err)
+	}
+	for name, read := range map[string]func(){
+		"Snapshot":        func() { s.Snapshot() },
+		"Stats":           func() { s.Stats() },
+		"CheckpointBytes": func() { _, _ = s.CheckpointBytes() },
+	} {
+		done := make(chan struct{})
+		go func() {
+			defer close(done)
+			read()
+		}()
+		select {
+		case <-done:
+		case <-time.After(2 * time.Second):
+			t.Fatalf("%s blocked for 2s after a panicking batch: stream lock still held", name)
+		}
 	}
 }

@@ -88,14 +88,8 @@ type SessionOptions struct {
 
 // Config tunes the Manager. The zero value is usable: 32-frame queues,
 // drop-oldest intake, no idle eviction, no admission limits, no
-// auto-restart, 256 coverage samples per session.
+// auto-restart.
 type Config struct {
-	// BaseContext is the root of the manager's cancellation tree; the
-	// sweeper, watchdog, supervisor and every session worker descend
-	// from it, and Manager.Close cancels the whole tree. Nil means
-	// context.Background().
-	BaseContext context.Context
-
 	// QueueDepth bounds each session's frame queue; when full, the
 	// session's queue policy decides (non-positive: 32).
 	QueueDepth int
@@ -127,9 +121,6 @@ type Config struct {
 	// SweepEvery is the eviction sweep period (non-positive: 1s, or
 	// IdleTimeout/4 if smaller).
 	SweepEvery time.Duration
-	// CoverageSamples bounds each session's coverage-over-time ring
-	// (non-positive: 256).
-	CoverageSamples int
 	// Checkpoints, when set, makes every session durably checkpoint its
 	// stream: periodically while live (CheckpointInterval), and once
 	// more after Finalize — which covers eviction, so an idle-swept call
@@ -157,11 +148,6 @@ type Config struct {
 	// between attempts and a sliding-window circuit breaker
 	// (DESIGN.md §13).
 	AutoRestart bool
-	// RestartOptions, when set, supplies the reconstruction options for
-	// a restarted id; nil reuses the options the session was opened
-	// (or restored) with. Options must match the checkpoint fingerprint
-	// or the restart attempt fails and counts toward the breaker.
-	RestartOptions func(id string) core.Options
 	// MaxRestarts is the circuit-breaker cap: once an id has been
 	// restarted this many times within RestartWindow, the next trigger
 	// trips the breaker and the session becomes PermanentlyFailed
@@ -190,7 +176,9 @@ type Config struct {
 	// reaches the reconstructor; a non-nil error rejects the frame
 	// (counted in FramesGated and FramesRejected). Malformed frames
 	// (nil, wrong geometry) bypass the gate and are rejected by the
-	// reconstructor's own frame-fault taxonomy.
+	// reconstructor's own frame-fault taxonomy. It runs on the session
+	// worker with the stream locked, so it must not call back into the
+	// session.
 	QualityGate func(frame *imagex.Image, oracle *imagex.Mask) error
 	// MaxImpulseNoise, when > 0, is the built-in decode-quality gate:
 	// frames whose vidstream.ImpulseNoise score exceeds it are rejected
@@ -201,9 +189,9 @@ type Config struct {
 	// DegradeAfterRejects, when > 0, degrades a session once this many
 	// consecutive frames have been rejected (gate + recoverable stream
 	// rejections; any accepted frame resets the streak). The streak
-	// advances per frame in both the Feed and FeedN paths, so one
-	// poisoned batch trips the threshold at the same frame a sequential
-	// replay would. 0 disables the threshold.
+	// advances per frame, so one poisoned FeedN batch trips the
+	// threshold at the same frame a sequential replay would. 0 disables
+	// the threshold.
 	DegradeAfterRejects int
 	// FailAfterRejects, when > 0, fails a session once the consecutive
 	// rejection streak reaches it — the worker stops and (with
@@ -237,9 +225,6 @@ type Config struct {
 }
 
 func (c Config) withDefaults() Config {
-	if c.BaseContext == nil {
-		c.BaseContext = context.Background()
-	}
 	if c.QueueDepth <= 0 {
 		c.QueueDepth = 32
 	}
@@ -248,9 +233,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.BlockDeadline <= 0 {
 		c.BlockDeadline = 250 * time.Millisecond
-	}
-	if c.CoverageSamples <= 0 {
-		c.CoverageSamples = 256
 	}
 	if c.CheckpointInterval <= 0 {
 		c.CheckpointInterval = 5 * time.Second
@@ -382,7 +364,7 @@ func NewManager(cfg Config) *Manager {
 		cfg:      cfg.withDefaults(),
 		sessions: map[string]*Session{},
 	}
-	m.ctx, m.cancel = context.WithCancel(m.cfg.BaseContext)
+	m.ctx, m.cancel = context.WithCancel(context.Background())
 	if m.cfg.IdleTimeout > 0 {
 		m.sweepDone = make(chan struct{})
 		go m.sweep()
@@ -400,7 +382,7 @@ func NewManager(cfg Config) *Manager {
 }
 
 // Context returns the manager's root context; it is cancelled when
-// Close begins (or when Config.BaseContext is cancelled).
+// Close begins.
 func (m *Manager) Context() context.Context { return m.ctx }
 
 // Open starts a live session reconstructing a call of the given frame
@@ -512,7 +494,7 @@ func (m *Manager) pressureVictimLocked() *Session {
 // the session is published into the map: once another goroutine can
 // reach the session through m.sessions, it is fully initialized.
 func (m *Manager) installLocked(id string, stream *core.StreamReconstructor, opts core.Options, so SessionOptions, fp uint64, meta regMeta) *Session {
-	s := newSession(m, id, stream, m.cfg.QueueDepth, m.cfg.CoverageSamples)
+	s := newSession(m, id, stream, m.cfg.QueueDepth)
 	s.opts = opts
 	s.incarnation = meta.incarnation
 	if s.incarnation <= 0 {
@@ -680,25 +662,18 @@ func (m *Manager) Get(id string) (*Session, bool) {
 	return s, ok
 }
 
-// Feed routes one frame to the current incarnation of id — the
-// supervisor-friendly intake: after an auto-restart, stale *Session
-// handles return ErrFailed while Manager.Feed reaches the live
-// incarnation. It returns ErrManagerClosed after Close and
-// ErrNoSession for unknown ids.
+// Feed routes one frame to the current incarnation of id as a batch
+// of one (see FeedN).
 func (m *Manager) Feed(id string, frame *imagex.Image, oracle *imagex.Mask) error {
-	if m.closedFlag.Load() {
-		return fmt.Errorf("session %q: %w", id, ErrManagerClosed)
-	}
-	s, ok := m.Get(id)
-	if !ok {
-		return fmt.Errorf("session %q: %w", id, ErrNoSession)
-	}
-	return s.Feed(frame, oracle)
+	return m.FeedN(id, []core.Frame{{Img: frame, Oracle: oracle}})
 }
 
 // FeedN routes an ordered frame batch to the current incarnation of id
-// (see Session.FeedN for the batch semantics and Feed for the routing
-// rationale).
+// (see Session.FeedN for the batch semantics) — the supervisor-friendly
+// intake: after an auto-restart, stale *Session handles return
+// ErrFailed while Manager.FeedN reaches the live incarnation. It
+// returns ErrManagerClosed after Close and ErrNoSession for unknown
+// ids.
 func (m *Manager) FeedN(id string, frames []core.Frame) error {
 	if m.closedFlag.Load() {
 		return fmt.Errorf("session %q: %w", id, ErrManagerClosed)

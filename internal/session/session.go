@@ -33,22 +33,8 @@ var ErrExists = errors.New("session: id already open")
 // panic; the partial reconstruction up to the panic stays readable.
 var ErrFailed = errors.New("session: worker failed")
 
-// item is one queued unit of work: a single frame with its oracle
-// silhouette, or (batch non-nil, from FeedN) a whole ordered batch that
-// the worker runs through the reconstructor under one stream lock.
-type item struct {
-	frame  *imagex.Image
-	oracle *imagex.Mask
-	batch  []core.Frame
-}
-
-// size returns how many frames the item carries, for intake accounting.
-func (it item) size() uint64 {
-	if it.batch != nil {
-		return uint64(len(it.batch))
-	}
-	return 1
-}
+// coverageSamples bounds each session's coverage-over-time ring.
+const coverageSamples = 256
 
 // Session is one live call being reconstructed. Feed never blocks on
 // the reconstruction: frames queue up to Config.QueueDepth and the
@@ -81,7 +67,7 @@ type Session struct {
 
 	// Intake: sendMu serialises queue sends against intake close.
 	sendMu       sync.Mutex
-	queue        chan item
+	queue        chan []core.Frame // one item per Feed (a batch of one) or FeedN
 	intakeClosed bool
 
 	// streamMu guards the reconstructor (worker writes, observers read).
@@ -118,10 +104,9 @@ type Session struct {
 	restored       bool          // came from Manager.Restore, not Open
 
 	// rejectStreak is the current run of consecutively rejected frames
-	// (gate + recoverable stream rejections), advanced per frame in both
-	// the Feed and FeedN paths and reset by any accepted frame. The
-	// opt-in Config.DegradeAfterRejects/FailAfterRejects thresholds act
-	// on it.
+	// (gate + recoverable stream rejections), advanced per frame and
+	// reset by any accepted frame. The opt-in
+	// Config.DegradeAfterRejects/FailAfterRejects thresholds act on it.
 	rejectStreak atomic.Uint32
 
 	done     chan struct{} // closed when the worker exits
@@ -130,11 +115,11 @@ type Session struct {
 	detached atomic.Bool // Detach in progress: loop must not finalize
 }
 
-func newSession(mgr *Manager, id string, stream *core.StreamReconstructor, queueDepth, coverageSamples int) *Session {
+func newSession(mgr *Manager, id string, stream *core.StreamReconstructor, queueDepth int) *Session {
 	s := &Session{
 		id:       id,
 		mgr:      mgr,
-		queue:    make(chan item, queueDepth),
+		queue:    make(chan []core.Frame, queueDepth),
 		stream:   stream,
 		started:  time.Now(),
 		coverage: stats.NewSeries(coverageSamples),
@@ -143,6 +128,7 @@ func newSession(mgr *Manager, id string, stream *core.StreamReconstructor, queue
 	s.w, s.h = stream.Size()
 	s.lastFeed.Store(s.started.UnixNano())
 	s.lastProc.Store(s.started.UnixNano())
+	s.ckptTryNs.Store(s.started.UnixNano()) // first periodic checkpoint one interval in
 	return s
 }
 
@@ -153,25 +139,26 @@ func (s *Session) ID() string { return s.id }
 // 1 for the original session, +1 per auto-restart.
 func (s *Session) Incarnation() int { return s.incarnation }
 
-// Feed enqueues one frame. Under the default drop-oldest policy it
-// never blocks: when the queue is full the oldest queued frame is
-// dropped (counted in Stats as FramesDropped). PolicyReject returns
-// ErrQueueFull instead; PolicyBlock waits up to the block deadline for
-// queue space before giving up with ErrQueueFull. After Manager.Close
-// begins, Feed returns ErrManagerClosed; after the supervisor replaced
-// this incarnation, the stale handle returns ErrFailed (route through
+// Feed enqueues one frame as a batch of one (see FeedN). Under the
+// default drop-oldest policy it never blocks: when the queue is full
+// the oldest queued item is dropped (counted in Stats as
+// FramesDropped, per frame). PolicyReject returns ErrQueueFull
+// instead; PolicyBlock waits up to the block deadline for queue space
+// before giving up with ErrQueueFull. After Manager.Close begins, Feed
+// returns ErrManagerClosed; after the supervisor replaced this
+// incarnation, the stale handle returns ErrFailed (route through
 // Manager.Feed to always reach the live incarnation). The session does
 // not copy the frame or oracle; the caller must not mutate them
 // afterwards. Malformed frames (wrong geometry, nil oracle) are not
 // detected here but at processing time, where they are counted as
 // FramesRejected and the session carries on.
 func (s *Session) Feed(frame *imagex.Image, oracle *imagex.Mask) error {
-	return s.enqueue(item{frame: frame, oracle: oracle})
+	return s.enqueue([]core.Frame{{Img: frame, Oracle: oracle}})
 }
 
 // FeedN enqueues an ordered batch of frames as one queue unit. The
 // worker runs the whole batch through the reconstructor under a single
-// stream lock (core.StreamReconstructor.FeedN), amortising the
+// stream lock, amortising the
 // per-frame queue and lock overhead — the intended intake for replay
 // and catch-up traffic, where frames arrive faster than real time. The
 // queue policies treat the batch atomically: it occupies one slot of
@@ -183,12 +170,12 @@ func (s *Session) FeedN(frames []core.Frame) error {
 	if len(frames) == 0 {
 		return nil
 	}
-	return s.enqueue(item{batch: frames})
+	return s.enqueue(frames)
 }
 
-// enqueue applies the intake policy to one queue item (a frame or a
-// whole batch); frame accounting is by item.size.
-func (s *Session) enqueue(it item) error {
+// enqueue applies the intake policy to one queue item; frame
+// accounting is by the item's length.
+func (s *Session) enqueue(it []core.Frame) error {
 	if s.mgr.closedFlag.Load() {
 		return fmt.Errorf("session %q: %w", s.id, ErrManagerClosed)
 	}
@@ -202,7 +189,7 @@ func (s *Session) enqueue(it item) error {
 	}
 	s.lastFeed.Store(time.Now().UnixNano())
 	s.stallLatch.Store(false) // activity: a new stall episode may be detected later
-	s.fed.Add(it.size())
+	s.fed.Add(uint64(len(it)))
 	select {
 	case s.queue <- it:
 		return nil
@@ -212,7 +199,7 @@ func (s *Session) enqueue(it item) error {
 	case PolicyReject:
 		// Explicit backpressure: the new frame is dropped and the caller
 		// told, so it can throttle its capture rate.
-		s.dropped.Add(it.size())
+		s.dropped.Add(uint64(len(it)))
 		return fmt.Errorf("session %q: %w", s.id, ErrQueueFull)
 	case PolicyBlock:
 		// Bounded wait for queue space. sendMu stays held, so a
@@ -224,10 +211,10 @@ func (s *Session) enqueue(it item) error {
 		case s.queue <- it:
 			return nil
 		case <-timer.C:
-			s.dropped.Add(it.size())
+			s.dropped.Add(uint64(len(it)))
 			return fmt.Errorf("session %q: %w (blocked %s)", s.id, ErrQueueFull, s.blockDeadline)
 		case <-s.mgr.ctx.Done():
-			s.dropped.Add(it.size())
+			s.dropped.Add(uint64(len(it)))
 			return fmt.Errorf("session %q: %w", s.id, ErrManagerClosed)
 		}
 	}
@@ -236,13 +223,13 @@ func (s *Session) enqueue(it item) error {
 	// first, the send below succeeds and nothing is dropped twice.
 	select {
 	case victim := <-s.queue:
-		s.dropped.Add(victim.size())
+		s.dropped.Add(uint64(len(victim)))
 	default:
 	}
 	select {
 	case s.queue <- it:
 	default:
-		s.dropped.Add(it.size()) // lost the race to a concurrent Feed; drop the new item
+		s.dropped.Add(uint64(len(it))) // lost the race to a concurrent Feed; drop the new item
 	}
 	return nil
 }
@@ -260,14 +247,8 @@ func (s *Session) loop() {
 			s.mgr.panics.Inc()
 		}
 	}()
-	for it := range s.queue {
-		fatal := false
-		if it.batch != nil {
-			fatal = s.processBatch(it.batch)
-		} else {
-			fatal = s.process(it)
-		}
-		if fatal {
+	for frames := range s.queue {
+		if s.processBatch(frames) {
 			// Fatal: stop draining. Feed already returns ErrFailed (the
 			// failure value is set); the partial reconstruction stays
 			// readable, exactly like the panic path.
@@ -292,161 +273,86 @@ func (s *Session) loop() {
 	}
 }
 
-// process feeds one frame through the quality gate and the
-// reconstructor, updating the per-stage telemetry. It reports whether
-// the session hit a fatal error and must stop.
-func (s *Session) process(it item) (fatal bool) {
-	s.lastProc.Store(time.Now().UnixNano())
-	if err := s.gate(it); err != nil {
-		// Gate rejections are recoverable by definition: count and skip.
-		s.gated.Inc()
-		s.rejected.Inc()
-		return s.rejectTransition(int(s.rejectStreak.Add(1)))
-	}
-	t0 := time.Now()
-	err, identified, cov := s.feedStream(it)
-	s.feedLat.Observe(time.Since(t0))
-	if err != nil {
-		if core.RecoverableFrame(err) {
-			// One bad frame is counted and skipped; the stream carries on
-			// (the paper's LB residue accumulates over many frames, so a
-			// rejected frame only costs its own residue).
-			s.rejected.Inc()
-			return s.rejectTransition(int(s.rejectStreak.Add(1)))
-		}
-		// Non-frame errors mean the stream itself is unusable.
-		s.failure.Store(fmt.Sprintf("fatal stream error: %v", err))
-		s.fail(fmt.Sprintf("fatal stream error: %v", err))
-		return true
-	}
-	s.rejectStreak.Store(0)
-	s.processed.Inc()
-	s.coverage.Append(cov)
-	if identified && s.pinnedNs.Load() == 0 {
-		s.pinnedNs.Store(int64(time.Since(s.started)))
-	}
-	s.maybeCheckpoint()
-	return false
-}
-
-// rejectTransition applies the opt-in consecutive-rejection health
-// thresholds after the streak reached n: crossing
-// Config.DegradeAfterRejects degrades the session, and reaching
-// Config.FailAfterRejects fails it (fatal for the worker — a stream
-// whose every recent frame bounces is reconstructing nothing, and
-// failing hands the id to the supervisor for a checkpoint-backed
-// restart). Both thresholds count per frame in the Feed and FeedN
-// paths alike, so one poisoned 16-frame batch trips exactly the same
-// transitions as 16 poisoned frames fed one at a time.
-func (s *Session) rejectTransition(n int) (fatal bool) {
-	if d := s.mgr.cfg.DegradeAfterRejects; d > 0 && n == d {
-		s.degrade(fmt.Sprintf("%d consecutive frames rejected", n))
-	}
-	if f := s.mgr.cfg.FailAfterRejects; f > 0 && n >= f {
-		reason := fmt.Sprintf("%d consecutive frames rejected", n)
-		s.failure.Store(reason)
-		s.fail(reason)
-		return true
-	}
-	return false
-}
-
-// processBatch runs one queued batch under a single stream lock,
-// gating and feeding each frame in arrival order. Per-stage telemetry
-// matches the frame-at-a-time path exactly: gate rejections and
-// recoverable stream rejections count per frame (and advance the
-// consecutive-rejection streak per frame, in order — a poisoned batch
-// trips the degraded→failed thresholds at the same frame a sequential
-// Feed replay would), the feed latency records the per-frame mean of
-// the batch, and the coverage series gains one sample per batch (not
-// per frame; a batch is one observable processing step). Health
-// transitions are collected inside the lock and applied after it, so a
-// user Logf callback that snapshots the session can never deadlock. It
-// reports whether the session hit a fatal error.
+// processBatch runs one queue item (a Feed is a batch of one) under a
+// single stream lock, gating and feeding each frame in arrival order.
+// Rejections count per frame and advance the consecutive-rejection
+// streak per frame, so a poisoned batch trips the degraded→failed
+// thresholds at the same frame a sequential Feed replay would. Each
+// frame's gate+feed time is one feed-latency sample; the coverage
+// series gains one sample per item that had an accepted frame. The
+// unlock is deferred so a panicking pipeline (isolated in loop's
+// recover) cannot leave the mutex held and wedge every observer, and
+// health transitions run after it, so a user Logf callback that
+// snapshots the session can never deadlock. It reports whether the
+// session hit a fatal error and must stop.
 func (s *Session) processBatch(frames []core.Frame) (fatal bool) {
 	s.lastProc.Store(time.Now().UnixNano())
 	var (
-		accepted, rejected, gatedN int
-		fatalErr                   error
-		degradeAt                  = s.mgr.cfg.DegradeAfterRejects
-		failAt                     = s.mgr.cfg.FailAfterRejects
-		streak                     = int(s.rejectStreak.Load())
-		crossedDegrade             = false
-		crossedFail                = false
+		degradeAt  = s.mgr.cfg.DegradeAfterRejects
+		failAt     = s.mgr.cfg.FailAfterRejects
+		accepted   bool
+		degraded   bool
+		failure    string
+		identified bool
+		cov        float64
 	)
-	reject := func() (stop bool) {
-		rejected++
-		streak++
-		if degradeAt > 0 && streak == degradeAt {
-			crossedDegrade = true
-		}
-		if failAt > 0 && streak >= failAt {
-			crossedFail = true
-		}
-		return crossedFail
-	}
-	t0 := time.Now()
-	s.streamMu.Lock()
-	for _, f := range frames {
-		if err := s.gate(item{frame: f.Img, oracle: f.Oracle}); err != nil {
-			gatedN++
-			if reject() {
-				break
+	func() {
+		s.streamMu.Lock()
+		defer s.streamMu.Unlock()
+	feed:
+		for _, f := range frames {
+			t0 := time.Now()
+			err := s.gate(f)
+			gated := err != nil
+			if !gated {
+				err = s.stream.Feed(f.Img, f.Oracle)
 			}
-			continue
-		}
-		err := s.stream.Feed(f.Img, f.Oracle)
-		if err == nil {
-			accepted++
-			streak = 0
-			continue
-		}
-		if core.RecoverableFrame(err) {
-			if reject() {
-				break
+			s.feedLat.Observe(time.Since(t0))
+			switch {
+			case err == nil:
+				accepted = true
+				s.processed.Inc()
+				s.rejectStreak.Store(0)
+			case gated || core.RecoverableFrame(err):
+				// One bad frame is counted and skipped; the stream carries
+				// on (the paper's LB residue accumulates over many frames,
+				// so a rejected frame only costs its own residue). Gate
+				// rejections are recoverable by definition.
+				if gated {
+					s.gated.Inc()
+				}
+				s.rejected.Inc()
+				n := int(s.rejectStreak.Add(1))
+				degraded = degraded || (degradeAt > 0 && n == degradeAt)
+				if failAt > 0 && n >= failAt {
+					// A stream whose every recent frame bounces is
+					// reconstructing nothing: failing hands the id to the
+					// supervisor for a checkpoint-backed restart.
+					failure = fmt.Sprintf("%d consecutive frames rejected", n)
+					break feed
+				}
+			default:
+				// Non-frame errors mean the stream itself is unusable; the
+				// frames after this one are never attempted.
+				failure = fmt.Sprintf("fatal stream error: %v", err)
+				break feed
 			}
-			continue
 		}
-		// Non-frame errors mean the stream itself is unusable. Frames
-		// after this one are never attempted, matching the Feed path
-		// where a fatal frame stops the worker mid-queue.
-		fatalErr = err
-		break
-	}
-	identified := s.stream.Identified()
-	cov := s.stream.Snapshot().Coverage.Fraction()
-	s.streamMu.Unlock()
-	if n := accepted + rejected; n > 0 {
-		per := time.Since(t0) / time.Duration(n)
-		for i := 0; i < n; i++ {
-			s.feedLat.Observe(per)
-		}
-	}
-	s.gated.Add(uint64(gatedN))
-	s.rejected.Add(uint64(rejected))
-	s.processed.Add(uint64(accepted))
-	s.rejectStreak.Store(uint32(streak))
-	if accepted > 0 {
+		identified = s.stream.Identified()
+		cov = s.stream.Snapshot().Coverage.Fraction()
+	}()
+	if accepted {
 		s.coverage.Append(cov)
 	}
 	if identified && s.pinnedNs.Load() == 0 {
 		s.pinnedNs.Store(int64(time.Since(s.started)))
 	}
-	if fatalErr != nil {
-		s.failure.Store(fmt.Sprintf("fatal stream error: %v", fatalErr))
-		s.fail(fmt.Sprintf("fatal stream error: %v", fatalErr))
-		return true
-	}
-	if crossedDegrade && !crossedFail {
+	if degraded {
 		s.degrade(fmt.Sprintf("%d consecutive frames rejected", degradeAt))
 	}
-	if crossedFail {
-		if crossedDegrade {
-			s.degrade(fmt.Sprintf("%d consecutive frames rejected", degradeAt))
-		}
-		reason := fmt.Sprintf("%d consecutive frames rejected", streak)
-		s.failure.Store(reason)
-		s.fail(reason)
+	if failure != "" {
+		s.failure.Store(failure)
+		s.fail(failure)
 		return true
 	}
 	s.maybeCheckpoint()
@@ -457,17 +363,17 @@ func (s *Session) processBatch(frames []core.Frame) (fatal bool) {
 // reconstructor. Geometry and nil faults are left to the reconstructor
 // (which classifies them as recoverable FrameErrors); the gate only
 // judges content quality, so the two rejection layers never overlap.
-func (s *Session) gate(it item) error {
-	if it.frame == nil || it.frame.W != s.w || it.frame.H != s.h {
+func (s *Session) gate(f core.Frame) error {
+	if f.Img == nil || f.Img.W != s.w || f.Img.H != s.h {
 		return nil // the reconstructor rejects and classifies these
 	}
 	if g := s.mgr.cfg.QualityGate; g != nil {
-		if err := g(it.frame, it.oracle); err != nil {
+		if err := g(f.Img, f.Oracle); err != nil {
 			return err
 		}
 	}
 	if max := s.mgr.cfg.MaxImpulseNoise; max > 0 {
-		if score := vidstream.ImpulseNoise(it.frame, vidstream.DefaultImpulseTol); score > max {
+		if score := vidstream.ImpulseNoise(f.Img, vidstream.DefaultImpulseTol); score > max {
 			return &core.FrameError{
 				Fault: core.FaultQuality,
 				Err:   fmt.Errorf("session %q: frame impulse-noise score %.4f exceeds gate %.4f", s.id, score, max),
@@ -556,18 +462,6 @@ func (s *Session) noteCheckpointCycleFailure(attempts int, err error) {
 	s.mgr.logf("session %q: checkpoint failed after %d attempt(s) (streak %d, keeping last good checkpoint): %v",
 		s.id, attempts, streak, err)
 	s.degrade(fmt.Sprintf("checkpoint save failed after %d attempt(s): %v", attempts, err))
-}
-
-// feedStream runs one frame through the reconstructor under streamMu.
-// The unlock is deferred so a panicking pipeline (isolated in loop's
-// recover) cannot leave the mutex held and wedge every observer.
-func (s *Session) feedStream(it item) (err error, identified bool, cov float64) {
-	s.streamMu.Lock()
-	defer s.streamMu.Unlock()
-	err = s.stream.Feed(it.frame, it.oracle)
-	identified = s.stream.Identified()
-	cov = s.stream.Snapshot().Coverage.Fraction()
-	return err, identified, cov
 }
 
 // closeIntake stops accepting frames; idempotent.
@@ -696,7 +590,8 @@ func (s *Session) Snapshot() *core.Reconstruction {
 }
 
 // CoverageSeries returns the retained residue-coverage-over-time
-// window (one sample per processed frame, fraction in [0,1]).
+// window: one sample, a fraction in [0,1], per queue item (a Feed
+// frame or a FeedN batch) that had an accepted frame.
 func (s *Session) CoverageSeries() []stats.Sample { return s.coverage.Samples() }
 
 // Snapshot is an instantaneous, internally consistent view of one
@@ -717,7 +612,7 @@ type Snapshot struct {
 	// RejectStreak is the current run of consecutively rejected frames
 	// (0 after any accepted frame); the opt-in
 	// Config.DegradeAfterRejects/FailAfterRejects thresholds act on it,
-	// per frame in both the Feed and FeedN paths.
+	// per frame.
 	RejectStreak uint32
 
 	// CoveragePct is the claimed RBRR (percent) at snapshot time.
@@ -732,7 +627,8 @@ type Snapshot struct {
 	Identified      bool
 	IdentifyLatency time.Duration
 
-	// FeedLatency aggregates per-frame reconstruction latency.
+	// FeedLatency aggregates the worker's per-frame time (quality gate
+	// plus reconstruction), one sample per gated or fed frame.
 	FeedLatency stats.LatencySummary
 
 	// LastActivity is the most recent Feed (session start if never fed).

@@ -116,9 +116,6 @@ func (m *Manager) tryRestart(s *Session, recs map[string]*restartRec) {
 // breaker.
 func (m *Manager) restartSession(old *Session, now time.Time) error {
 	opts := old.opts
-	if m.cfg.RestartOptions != nil {
-		opts = m.cfg.RestartOptions(old.id)
-	}
 	var (
 		stream   *core.StreamReconstructor
 		fromCkpt bool
